@@ -295,13 +295,6 @@ impl DataStore {
         self.aggregators.iter().map(|(id, _, _)| *id).collect()
     }
 
-    fn is_subscribed(&self, id: AggregatorId, stream: &StreamId) -> bool {
-        match self.subscriptions.get(&id) {
-            None => true,
-            Some(streams) => streams.is_empty() || streams.contains(stream),
-        }
-    }
-
     // ------------------------------------------------------------------
     // data path (Fig. 3a)
     // ------------------------------------------------------------------
@@ -321,17 +314,9 @@ impl DataStore {
         self.metrics.raw_bytes.add(FlowRecord::WIRE_BYTES as u64);
         self.metrics.watermark.set(now.as_micros() as i64);
         self.note_source(stream);
-        let ids: Vec<AggregatorId> = self
-            .aggregators
-            .iter()
-            .filter(|(_, spec, _)| spec.consumes_flows())
-            .map(|(id, _, _)| *id)
-            .collect();
-        for id in ids {
-            if self.is_subscribed(id, stream) {
-                if let Some(inst) = self.aggregator_mut(id) {
-                    inst.ingest_flow(rec, now);
-                }
+        for (id, spec, inst) in &mut self.aggregators {
+            if spec.consumes_flows() && is_subscribed(&self.subscriptions, *id, stream) {
+                inst.ingest_flow(rec, now);
             }
         }
         self.triggers.on_flow(rec, now)
@@ -350,17 +335,9 @@ impl DataStore {
         self.metrics.raw_bytes.add(16);
         self.metrics.watermark.set(now.as_micros() as i64);
         self.note_source(stream);
-        let ids: Vec<AggregatorId> = self
-            .aggregators
-            .iter()
-            .filter(|(_, spec, _)| !spec.consumes_flows())
-            .map(|(id, _, _)| *id)
-            .collect();
-        for id in ids {
-            if self.is_subscribed(id, stream) {
-                if let Some(inst) = self.aggregator_mut(id) {
-                    inst.ingest_scalar(value, now);
-                }
+        for (id, spec, inst) in &mut self.aggregators {
+            if !spec.consumes_flows() && is_subscribed(&self.subscriptions, *id, stream) {
+                inst.ingest_scalar(value, now);
             }
         }
         self.triggers.on_scalar(stream, value, now)
@@ -590,6 +567,19 @@ impl DataStore {
             inst.adapt(&feedback);
         }
         self.metrics.memory.set(self.accounted_bytes() as i64);
+    }
+}
+
+/// Whether aggregator `id` consumes `stream`: it subscribed to it, or it
+/// subscribed to every stream (no entry, or an empty list).
+fn is_subscribed(
+    subscriptions: &BTreeMap<AggregatorId, Vec<StreamId>>,
+    id: AggregatorId,
+    stream: &StreamId,
+) -> bool {
+    match subscriptions.get(&id) {
+        None => true,
+        Some(streams) => streams.is_empty() || streams.contains(stream),
     }
 }
 

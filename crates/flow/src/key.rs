@@ -8,6 +8,7 @@
 //! remaining features are fully wildcarded — see [`FeatureSet`].
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::addr::{Ipv4Addr, Prefix};
 use crate::record::FlowRecord;
@@ -269,7 +270,13 @@ fn mask_to(value: u32, width: u8, len: u8) -> u32 {
 /// assert_eq!(wide.to_string(), "proto=6 src=10.0.0.0/8:* dst=8.8.8.8/32:53");
 /// # Ok::<(), megastream_flow::addr::ParseAddrError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// `Hash` is hand-written: it writes the key packed into three `u64`
+/// words instead of the derived sixteen small writes. The packing is
+/// lossless, so equal keys hash equal under any hasher — including the
+/// keyed SipHash of the arena index, which flow keys (attacker-chosen
+/// source addresses) must keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     fields: [MaskedField; 5],
 }
@@ -425,6 +432,32 @@ impl FlowKey {
             .filter(|f| !self.field(*f).is_wildcard())
             .collect()
     }
+
+    /// The key packed losslessly into three words: both IP values; the
+    /// port and protocol values; every field's mask length and width in
+    /// 6-bit lanes. Lossless because each value fits its width (bits
+    /// below the mask are zero and `width <= 32`), so two keys are equal
+    /// exactly when their packed words are.
+    pub(crate) fn packed(&self) -> [u64; 3] {
+        let [proto, src, dst, sport, dport] = self.fields;
+        let mut shape = 0u64;
+        for (i, f) in self.fields.iter().enumerate() {
+            shape |= (u64::from(f.len) | u64::from(f.width) << 6) << (12 * i);
+        }
+        [
+            u64::from(src.value) << 32 | u64::from(dst.value),
+            u64::from(sport.value) << 48 | u64::from(dport.value) << 32 | u64::from(proto.value),
+            shape,
+        ]
+    }
+}
+
+impl Hash for FlowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.packed() {
+            state.write_u64(word);
+        }
+    }
 }
 
 impl Default for FlowKey {
@@ -466,6 +499,7 @@ impl fmt::Display for FlowKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mask::GeneralizationSchema;
     use proptest::prelude::*;
 
     fn key() -> FlowKey {
@@ -597,6 +631,62 @@ mod tests {
             let p = k.project(FeatureSet::SRC_DST_IP);
             prop_assert_eq!(p, p.project(FeatureSet::SRC_DST_IP));
             prop_assert!(p.contains(&k.project(FeatureSet::SRC_DST_IP)));
+        }
+    }
+
+    /// A five-tuple from a small value pool plus a number of generalization
+    /// steps: independent draws often share ancestors (the root once the
+    /// steps pass the schema's depth).
+    fn arb_pool_key() -> impl Strategy<Value = (FlowKey, usize)> {
+        use proptest::sample::select;
+        (
+            select(vec![6u8, 17]),
+            select(vec![0x0a00_0001u32, 0x0a00_0102, 0x0a01_0203, 0xc0a8_0001]),
+            select(vec![53u16, 443]),
+            select(vec![0x0808_0808u32, 0x0808_0404, 0x0a00_0001]),
+            select(vec![53u16, 80]),
+            0usize..70,
+        )
+            .prop_map(|(p, si, sp, di, dp, up)| {
+                let exact = FlowKey::five_tuple(p, Ipv4Addr::new(si), sp, Ipv4Addr::new(di), dp);
+                (exact, up)
+            })
+    }
+
+    /// The on-ladder key `up` steps above `exact` under `schema`.
+    fn lift(schema: &GeneralizationSchema, (exact, up): (FlowKey, usize)) -> FlowKey {
+        schema
+            .self_and_ancestors(&exact)
+            .nth(up)
+            .unwrap_or_else(FlowKey::root)
+    }
+
+    /// The arena index hashes keys with a keyed `RandomState`; the
+    /// contract it relies on must hold under a fixed-key hasher too.
+    fn fixed_key_hash(key: &FlowKey) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_packed_hash_agrees_with_eq(a in arb_pool_key(), b in arb_pool_key()) {
+            for schema in [
+                GeneralizationSchema::network_default(),
+                GeneralizationSchema::dst_preserving(),
+                GeneralizationSchema::src_preserving(),
+                GeneralizationSchema::bitwise_ip_pair(),
+            ] {
+                let (ka, kb) = (lift(&schema, a), lift(&schema, b));
+                prop_assert!(schema.is_normalized(&ka) && schema.is_normalized(&kb));
+                prop_assert_eq!(ka == kb, ka.packed() == kb.packed(), "{} vs {}", ka, kb);
+                if ka == kb {
+                    prop_assert_eq!(fixed_key_hash(&ka), fixed_key_hash(&kb));
+                }
+            }
         }
     }
 }

@@ -178,11 +178,8 @@ impl GeneralizationSchema {
 
     /// Index of the rung at-or-below `len` on the ladder of `feature`.
     fn rung_index(&self, feature: Feature, len: u8) -> usize {
-        let ladder = self.ladder(feature);
-        match ladder.binary_search(&len) {
-            Ok(i) => i,
-            Err(i) => i - 1, // ladder always contains 0, so i >= 1 here
-        }
+        // The ladder always starts at 0, so the partition point is >= 1.
+        self.ladder(feature).partition_point(|&rung| rung <= len) - 1
     }
 
     /// Snaps every feature's mask length *down* to the nearest ladder rung.
@@ -225,38 +222,43 @@ impl GeneralizationSchema {
         if norm != *key {
             return Some(norm);
         }
-        let feature = self.pick_step_feature(&norm)?;
-        let idx = self.rung_index(feature, norm.field(feature).len());
-        debug_assert!(idx > 0);
-        let target = self.ladder(feature)[idx - 1];
-        Some(norm.generalize(feature, target))
+        self.parent_on_ladder(&norm)
     }
 
-    /// Picks the feature the next generalization step widens, or `None` if
-    /// the key is already the root with respect to the step order.
-    fn pick_step_feature(&self, key: &FlowKey) -> Option<Feature> {
-        self.pick_in_order(&self.order, key)
+    /// The parent of a key that already sits on the ladder (see
+    /// [`Self::is_normalized`]), or `None` for the root. Equal to
+    /// [`Self::parent`] on such keys but skips re-normalizing them — the
+    /// ancestor walks of Flowtree ingest only ever step from on-ladder
+    /// keys.
+    pub fn parent_on_ladder(&self, key: &FlowKey) -> Option<FlowKey> {
+        debug_assert!(self.is_normalized(key), "{key} is off the ladder");
+        let (feature, rung) = self.pick_in_order(&self.order, key)?;
+        Some(key.generalize(feature, self.ladder(feature)[rung - 1]))
     }
 
-    fn pick_in_order(&self, order: &StepOrder, key: &FlowKey) -> Option<Feature> {
+    /// Picks the feature the next generalization step widens, with its
+    /// current (non-zero) rung index, or `None` if the key is already the
+    /// root with respect to the step order. `key` must be on the ladder,
+    /// where a feature has rungs left exactly when it is not wildcarded.
+    fn pick_in_order(&self, order: &StepOrder, key: &FlowKey) -> Option<(Feature, usize)> {
+        let rung = |f: Feature| (f, self.rung_index(f, key.field(f).len()));
         match order {
             StepOrder::Priority(features) => features
                 .iter()
                 .copied()
-                .find(|f| self.rung_index(*f, key.field(*f).len()) > 0),
+                .find(|&f| !key.field(f).is_wildcard())
+                .map(rung),
             StepOrder::RoundRobin(features) => features
                 .iter()
                 .copied()
-                .map(|f| (self.rung_index(f, key.field(f).len()), f))
-                .filter(|(r, _)| *r > 0)
+                .filter(|&f| !key.field(f).is_wildcard())
+                .map(rung)
                 // max_by_key returns the *last* max, so order descending by
                 // reversing the tie-break: scan manually.
-                .fold(None, |best: Option<(usize, Feature)>, cand| match best {
-                    None => Some(cand),
-                    Some(b) if cand.0 > b.0 => Some(cand),
-                    Some(b) => Some(b),
-                })
-                .map(|(_, f)| f),
+                .fold(None, |best: Option<(Feature, usize)>, cand| match best {
+                    Some(b) if cand.1 <= b.1 => Some(b),
+                    _ => Some(cand),
+                }),
             StepOrder::Stages(stages) => stages
                 .iter()
                 .find_map(|stage| self.pick_in_order(stage, key)),
@@ -266,10 +268,13 @@ impl GeneralizationSchema {
     /// Iterates over the proper ancestors of `key`, from its parent up to and
     /// including the root.
     pub fn ancestors<'a>(&'a self, key: &FlowKey) -> Ancestors<'a> {
+        // The parent of an off-ladder key is its normalization, so the walk
+        // starts there; every later step is from an on-ladder key.
+        let norm = self.normalize(key);
         Ancestors {
             schema: self,
-            cur: Some(*key),
-            include_self: false,
+            cur: Some(norm),
+            include_self: norm != *key,
         }
     }
 
@@ -338,6 +343,7 @@ impl Default for GeneralizationSchema {
 #[derive(Debug, Clone)]
 pub struct Ancestors<'a> {
     schema: &'a GeneralizationSchema,
+    /// Always on the ladder.
     cur: Option<FlowKey>,
     include_self: bool,
 }
@@ -351,7 +357,7 @@ impl Iterator for Ancestors<'_> {
             self.include_self = false;
             return Some(cur);
         }
-        let parent = self.schema.parent(&cur);
+        let parent = self.schema.parent_on_ladder(&cur);
         self.cur = parent;
         parent
     }

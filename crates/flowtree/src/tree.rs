@@ -433,23 +433,29 @@ impl Flowtree {
     /// exactly; detail below the surviving nodes is lost. Ties on the own
     /// score break by key, so the fold order — and the resulting tree — is
     /// a function of the tree's contents, never of arena layout.
+    ///
+    /// A parent that becomes a leaf and sorts strictly below the heap
+    /// minimum is folded straight away instead of pushed: keys are unique,
+    /// so it is exactly the entry the next pop would return. Unary chains
+    /// therefore fold without a heap push and pop per link.
     pub fn compress_to(&mut self, target: usize) {
         let target = target.max(1);
         if self.len() <= target {
             return;
         }
+        let arena = self.arena_mut();
         // Min-heap of (own score, key, id) over current leaves.
-        let mut heap: BinaryHeap<Reverse<(u64, FlowKey, NodeId)>> = self
-            .arena
+        let leaves: &Arena = arena;
+        let mut heap: BinaryHeap<Reverse<(u64, FlowKey, NodeId)>> = leaves
             .live_ids()
-            .filter(|&id| id != NodeId::ROOT && !self.arena.has_children(id))
+            .filter(|&id| id != NodeId::ROOT && !leaves.has_children(id))
             .map(|id| {
-                let s = self.arena.slot(id);
+                let s = leaves.slot(id);
                 Reverse((s.own.value(), s.key, id))
             })
             .collect();
-        while self.len() > target {
-            let Some(Reverse((score, key, id))) = heap.pop() else {
+        while arena.len() > target {
+            let Some(Reverse((score, key, mut id))) = heap.pop() else {
                 break; // only the root remains
             };
             // Skip stale entries (node already evicted — possibly with the
@@ -457,20 +463,26 @@ impl Flowtree {
             // score snapshot is outdated). Compression only frees slots,
             // but the key check also guards the general reuse case.
             {
-                let s = self.arena.slot(id);
+                let s = arena.slot(id);
                 if s.key != key || s.own.value() != score || s.first_child.is_some() {
                     continue;
                 }
             }
-            let (parent, own) = {
-                let s = self.arena.slot(id);
-                (s.parent, s.own)
-            };
-            self.arena_mut().slot_mut(parent).own += own;
-            self.detach_and_free(id);
-            if parent != NodeId::ROOT && !self.arena.has_children(parent) {
-                let s = self.arena.slot(parent);
-                heap.push(Reverse((s.own.value(), s.key, parent)));
+            loop {
+                let Slot { parent, own, .. } = *arena.slot(id);
+                arena.slot_mut(parent).own += own;
+                arena.free(id);
+                if parent == NodeId::ROOT || arena.has_children(parent) {
+                    break;
+                }
+                let s = arena.slot(parent);
+                let entry = (s.own.value(), s.key, parent);
+                let next_pop = heap.peek().is_none_or(|Reverse(min)| entry < *min);
+                if !next_pop || arena.len() <= target {
+                    heap.push(Reverse(entry));
+                    break;
+                }
+                id = parent;
             }
         }
     }
@@ -628,22 +640,16 @@ impl Flowtree {
         if let Some(id) = self.arena.lookup(key) {
             return id;
         }
-        // Walk up until we hit a materialized ancestor.
-        let mut missing = vec![*key];
-        let mut anchor = NodeId::ROOT;
-        for anc in self.config.schema.ancestors(key) {
-            if let Some(id) = self.arena.lookup(&anc) {
-                anchor = id;
-                break;
-            }
-            missing.push(anc);
-        }
-        // Materialize top-down so each new node hangs off the previous one.
-        let mut parent = anchor;
-        for k in missing.into_iter().rev() {
-            parent = self.attach_new(k, parent);
-        }
-        parent
+        // Recurse up to the deepest materialized ancestor, then materialize
+        // top-down on the way back so each new node hangs off the previous
+        // one. The call stack holds the missing chain (at most the schema
+        // depth), so a miss allocates nothing beyond the new slots. The
+        // root is always materialized, so only the root key has no parent.
+        let parent = match self.config.schema.parent_on_ladder(key) {
+            Some(parent_key) => self.ensure_node(&parent_key),
+            None => return NodeId::ROOT,
+        };
+        self.attach_new(*key, parent)
     }
 
     /// Creates a node for `key` under `parent`, re-parenting any of
@@ -880,6 +886,30 @@ mod tests {
         assert!(t.len() <= 64);
         let expect: u64 = (0..200u32).map(|i| 1 + (i as u64 % 7)).sum();
         assert_eq!(t.total().value(), expect);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn uncapped_node_count_is_the_union_of_ancestor_chains() {
+        // Every observation materializes its key's whole ancestor chain, so
+        // an uncapped tree holds exactly the distinct chain keys: how the
+        // miss path builds nodes must never change how many it builds.
+        let mut t = Flowtree::new(FlowtreeConfig::default().with_capacity(1 << 20));
+        let mut chain_keys = std::collections::BTreeSet::new();
+        let mut x = 0x9E37_79B9u32;
+        for i in 0..2_000u64 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let r = FlowRecord::builder()
+                .proto(if x & 1 == 0 { 6 } else { 17 })
+                .src(x.into(), (x >> 16) as u16)
+                .dst(x.rotate_left(13).into(), 443)
+                .packets(1 + i % 3)
+                .build();
+            let key = FlowKey::from_record_projected(&r, t.config().features);
+            chain_keys.extend(t.config().schema.self_and_ancestors(&key));
+            t.observe(&r);
+        }
+        assert_eq!(t.len(), chain_keys.len());
         t.check_invariants();
     }
 

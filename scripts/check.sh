@@ -43,6 +43,17 @@ echo "==> E18 smoke: arena-vs-pointer bench runs end-to-end"
 # proves the arena/oracle pairing still builds and executes end-to-end.
 cargo bench -q -p megastream-bench --bench e18_arena_merge >/dev/null
 
+echo "==> megabench: same-seed determinism tests + 1 s smoke of every workload"
+# megabench is a cargo workspace of its own. Its tests check that one seed
+# gives identical counts on all three workloads; each smoke run exits
+# non-zero on any output mismatch (flow and mass totals, answers after
+# kill and recovery, Threads vs Sequential).
+cargo test -q --release --offline --manifest-path megabench/Cargo.toml
+for w in ingest-wide query-fanout ops-restart; do
+  cargo run -q --release --offline --manifest-path megabench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
+
 echo "==> durability: kill-and-restart recovery e2e"
 cargo test --test durability_e2e -q
 
