@@ -25,15 +25,16 @@ impl Pass for Determinism {
     }
 
     fn summary(&self) -> &'static str {
-        "wall-clock reads outside telemetry::clock; HashMap/HashSet in result-affecting crates"
+        "wall-clock reads outside telemetry::clock; HashMap/HashSet/RandomState in \
+         result-affecting crates"
     }
 
     fn explain(&self) -> &'static str {
         "WHAT: flags (a) `Instant::now` / `SystemTime::now` in any first-party crate source \
 outside the one sanctioned site, `crates/telemetry/src/clock.rs` (bench harnesses, the \
 vendored criterion shim, tests, and examples are exempt); (b) the identifiers `HashMap` / \
-`HashSet` in non-test code of the result-affecting crates (flow, flowtree, flowdb, \
-datastore, primitives, replication, storage).\n\
+`HashSet` / `RandomState` in non-test code of the result-affecting crates (flow, flowtree, \
+flowdb, datastore, primitives, replication, storage).\n\
 WHY: the PR 4 equivalence proof (tests/parallel_e2e.rs, tests/merge_laws.rs) shows \
 Sequential and Threads(n) runs are bit-identical — which is only true because partials \
 merge in fixed BTreeMap location order and no result path consults a clock. A stray \
@@ -41,10 +42,12 @@ merge in fixed BTreeMap location order and no result path consults a clock. A st
 (whose RandomState ordering differs per instance) silently voids the proof: the \
 space-saving sketch's min-eviction tie-break was exactly such a bug. Routing clock reads \
 through telemetry::clock also keeps them behind the enabled-check, preserving the \
-telemetry-off zero-cost contract.\n\
-ALLOWLIST: HashMap uses that are pure point-lookups (never iterated, order never \
-observable) may be excused with a justification saying so; wall-clock reads outside the \
-clock module should be fixed, not excused."
+telemetry-off zero-cost contract. `RandomState` is the per-instance random seed itself: a \
+hand-rolled hash table keyed by it has the same seed-dependent layout as a std HashMap \
+without ever naming one, so the seed, not the container, is what gets flagged.\n\
+ALLOWLIST: HashMap uses and hand-rolled tables that are pure point-lookups (never \
+iterated on a result path, order never observable) may be excused with a justification \
+saying so; wall-clock reads outside the clock module should be fixed, not excused."
     }
 
     fn run(&self, ctx: &Ctx<'_>, level: Level, out: &mut Vec<Finding>) {
@@ -81,10 +84,11 @@ clock module should be fixed, not excused."
                     }
                 }
             }
-            // (b) unordered maps in result-affecting crates.
+            // (b) unordered maps, and the random seed that makes them
+            // unordered, in result-affecting crates.
             if file.is_result_affecting() {
                 for i in 0..toks.len() {
-                    for ty in ["HashMap", "HashSet"] {
+                    for ty in ["HashMap", "HashSet", "RandomState"] {
                         if live_ident(file, i, ty) {
                             report(
                                 out,
@@ -148,6 +152,18 @@ mod tests {
         assert_eq!(run_on("crates/primitives/src/a.rs", src).len(), 2);
         // telemetry is data-plane for panics but not result-affecting.
         assert!(run_on("crates/telemetry/src/registry.rs", src).is_empty());
+        assert!(run_on("crates/manager/src/a.rs", src).is_empty());
+    }
+
+    #[test]
+    fn flags_random_state_behind_a_hand_rolled_table() {
+        // No HashMap in sight: the seed alone is what makes the layout
+        // differ per instance.
+        let src = "use std::hash::{BuildHasher, RandomState};\n\
+                   struct Table { seed: RandomState, slots: Vec<u64> }";
+        let found = run_on("crates/flowtree/src/a.rs", src);
+        assert_eq!(found.len(), 2);
+        assert!(found.iter().all(|f| f.key == "RandomState"));
         assert!(run_on("crates/manager/src/a.rs", src).is_empty());
     }
 

@@ -84,6 +84,9 @@ fn determinism_fires_on_bad_fixture() {
     assert_eq!(count_key(&found, "SystemTime::now"), 1, "{found:#?}");
     assert!(count_key(&found, "HashMap") >= 2, "{found:#?}");
     assert!(count_key(&found, "HashSet") >= 2, "{found:#?}");
+    // The seed is flagged even where no std map is named: a hand-rolled
+    // table keyed by it is just as layout-random.
+    assert_eq!(count_key(&found, "RandomState"), 3, "{found:#?}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! analyzer must report nothing at all on it.
 
 // .unwrap() .expect("x") panic!("boom") unreachable!() todo!()
-// Instant::now() SystemTime::now() HashMap HashSet unsafe #[ignore]
+// Instant::now() SystemTime::now() HashMap HashSet RandomState unsafe #[ignore]
 /* nested /* block */ with counter("decoy.name") and self.a.lock() */
 
 fn strings() -> (&'static str, &'static str, &'static [u8]) {

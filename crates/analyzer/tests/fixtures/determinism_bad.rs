@@ -4,6 +4,18 @@
 /* Decoy: SystemTime::now() in a block comment. */
 
 use std::collections::{HashMap, HashSet}; // deny: HashMap + HashSet idents
+use std::hash::{BuildHasher, RandomState}; // deny: RandomState
+
+/// A hand-rolled table keyed by a per-instance seed: no HashMap named,
+/// same seed-dependent layout.
+struct Table {
+    seed: RandomState, // deny: RandomState
+    slots: Vec<u64>,
+}
+
+fn slot_of(t: &Table, key: u32) -> usize {
+    t.seed.hash_one(key) as usize % t.slots.len()
+}
 
 fn decoys() -> &'static str {
     "HashMap and Instant::now() in a string are fine"
@@ -14,7 +26,11 @@ fn live() -> u128 {
     let w = std::time::SystemTime::now(); // deny: SystemTime::now
     let m: HashMap<u32, u32> = HashMap::new(); // deny: HashMap (x2)
     let s: HashSet<u32> = HashSet::new(); // deny: HashSet (x2)
-    drop((w, m, s));
+    let t2 = Table {
+        seed: RandomState::new(), // deny: RandomState
+        slots: vec![0; 8],
+    };
+    drop((w, m, s, slot_of(&t2, 1)));
     t.elapsed().as_micros()
 }
 

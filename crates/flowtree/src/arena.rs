@@ -14,19 +14,25 @@
 //! exactly when they share storage, which is what lets the accounting
 //! plane count a deduplicated arena once.
 //!
+//! Keys are found through a [`KeyIndex`]: an open-addressed table of
+//! `(tag, id)` words, where the tag is the key's keyed SipHash
+//! (`RandomState`). A tag match is confirmed against the slot's key, so
+//! the table never needs to store keys itself.
+//!
 //! `NodeId`'s inner index is private to this module: all slot access goes
 //! through the arena's methods (or [`IdMap`]), so no `as usize` cast of a
 //! node id can appear outside this file — the `arena-ids` megalint pass
 //! is the lexical backstop for the same rule.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use megastream_flow::key::FlowKey;
 use megastream_flow::score::Popularity;
+
+use crate::index::KeyIndex;
 
 /// Process-global arena identity source. Relaxed is enough: tokens only
 /// need to be unique, never ordered.
@@ -96,6 +102,13 @@ pub(crate) struct Slot {
     pub(crate) next_sibling: NodeId,
 }
 
+/// A key's hash tag in one arena's [`KeyIndex`], as returned by a missed
+/// [`Arena::find`] so the following [`Arena::alloc`] need not hash the
+/// key again. Only meaningful for the arena that produced it and its
+/// clones (which share its hasher).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyTag(u32);
+
 /// The contiguous node store plus the key index and free list.
 #[derive(Debug)]
 pub(crate) struct Arena {
@@ -104,9 +117,12 @@ pub(crate) struct Arena {
     free_len: usize,
     len: usize,
     token: u64,
-    /// Key → id lookup. Never iterated (lookup/insert/remove only), so the
-    /// nondeterministic bucket order can't leak into results.
-    index: HashMap<FlowKey, NodeId>,
+    /// Keyed SipHash for the index tags. Flow keys are chosen by whoever
+    /// sends the traffic, so an unkeyed hash would let them collide.
+    hasher: RandomState,
+    /// Key → id lookup. Never iterated on a result path (find, insert and
+    /// remove only), so probe order can't leak into results.
+    index: KeyIndex,
 }
 
 impl Clone for Arena {
@@ -120,6 +136,7 @@ impl Clone for Arena {
             free_len: self.free_len,
             len: self.len,
             token: fresh_token(),
+            hasher: self.hasher.clone(),
             index: self.index.clone(),
         }
     }
@@ -135,14 +152,16 @@ impl Arena {
             first_child: NodeId::NONE,
             next_sibling: NodeId::NONE,
         };
-        let mut index = HashMap::new();
-        index.insert(FlowKey::root(), NodeId::ROOT);
+        let hasher = RandomState::new();
+        let mut index = KeyIndex::new();
+        index.insert(tag(&hasher, &root.key).0, NodeId::ROOT.0);
         Arena {
             slots: vec![root],
             free_head: NodeId::NONE,
             free_len: 0,
             len: 1,
             token: fresh_token(),
+            hasher,
             index,
         }
     }
@@ -184,16 +203,34 @@ impl Arena {
         self.slots[id.idx()].parent == NodeId::FREE
     }
 
+    /// Id of `key`'s node if materialized, else the key's tag for the
+    /// [`Arena::alloc`] that follows a miss. `key` must already be
+    /// normalized and projected by the caller.
+    pub(crate) fn find(&self, key: &FlowKey) -> Result<NodeId, KeyTag> {
+        let t = tag(&self.hasher, key);
+        self.index
+            .find(t.0, |id| self.slots[NodeId(id).idx()].key == *key)
+            .map(NodeId)
+            .ok_or(t)
+    }
+
     /// Id of `key`'s node, if materialized. `key` must already be
     /// normalized and projected by the caller.
     pub(crate) fn lookup(&self, key: &FlowKey) -> Option<NodeId> {
-        self.index.get(key).copied()
+        self.find(key).ok()
+    }
+
+    /// `key`'s index tag under this arena's hasher.
+    #[cfg(test)]
+    pub(crate) fn tag_of(&self, key: &FlowKey) -> u32 {
+        tag(&self.hasher, key).0
     }
 
     /// Allocates a detached slot for `key` (no parent/child links yet),
-    /// reusing the free list before growing. The caller links it with
-    /// [`Arena::link_child`].
-    pub(crate) fn alloc(&mut self, key: FlowKey) -> NodeId {
+    /// reusing the free list before growing. `tag` is what the missed
+    /// [`Arena::find`] for `key` returned; `key` must not be materialized.
+    /// The caller links the slot with [`Arena::link_child`].
+    pub(crate) fn alloc(&mut self, key: FlowKey, tag: KeyTag) -> NodeId {
         let slot = Slot {
             key,
             own: Popularity::ZERO,
@@ -211,7 +248,7 @@ impl Arena {
             self.slots.push(slot);
             NodeId::from_idx(self.slots.len() - 1)
         };
-        self.index.insert(key, id);
+        self.index.insert(tag.0, id.0);
         self.len += 1;
         id
     }
@@ -228,12 +265,9 @@ impl Arena {
         if parent.is_some() {
             self.unlink_child(parent, id);
         }
-        let key = self.slots[id.idx()].key;
-        if let Entry::Occupied(e) = self.index.entry(key) {
-            if *e.get() == id {
-                e.remove();
-            }
-        }
+        let t = tag(&self.hasher, &self.slots[id.idx()].key);
+        let indexed = self.index.remove(t.0, id.0);
+        debug_assert!(indexed, "live node {id:?} missing from the key index");
         let free_head = self.free_head;
         let s = &mut self.slots[id.idx()];
         s.parent = NodeId::FREE;
@@ -242,6 +276,12 @@ impl Arena {
         self.free_head = id;
         self.free_len += 1;
         self.len -= 1;
+    }
+
+    /// Shrinks the key index if it has become sparse (see
+    /// [`KeyIndex::shrink_if_sparse`]). Called after bulk frees.
+    pub(crate) fn shrink_index(&mut self) {
+        self.index.shrink_if_sparse();
     }
 
     /// Inserts `child` into `parent`'s sibling list, keeping the list
@@ -302,6 +342,15 @@ impl Arena {
         }
     }
 
+    /// Iterator over all live node ids in canonical pre-order (children
+    /// in key order), following the parent/child/sibling links in place.
+    pub(crate) fn preorder(&self) -> Preorder<'_> {
+        Preorder {
+            arena: self,
+            next: NodeId::ROOT,
+        }
+    }
+
     /// Iterator over all live node ids in slot order.
     pub(crate) fn live_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.slots.len())
@@ -351,8 +400,32 @@ impl Arena {
                 prev = Some(key);
             }
         }
+        // Every index entry names a live slot under that slot's key tag
+        // (reachability of each key is checked through `lookup` by
+        // `Flowtree::check_invariants`).
         assert_eq!(self.index.len(), self.len, "index size mismatch");
+        for (t, id) in self.index.iter() {
+            let id = NodeId(id);
+            assert!(
+                id.idx() < self.slots.len() && !self.is_free(id),
+                "index entry names dead slot {id:?}"
+            );
+            assert_eq!(
+                t,
+                tag(&self.hasher, &self.slots[id.idx()].key).0,
+                "index tag of {id:?} does not match its key"
+            );
+        }
+        assert!(
+            2 * self.index.len() <= self.index.table_len(),
+            "key index above its load bound"
+        );
     }
+}
+
+/// `key`'s tag under `hasher`: the high half of its keyed SipHash.
+fn tag(hasher: &RandomState, key: &FlowKey) -> KeyTag {
+    KeyTag((hasher.hash_one(key) >> 32) as u32)
 }
 
 /// Key-ordered child iterator.
@@ -370,6 +443,33 @@ impl Iterator for Children<'_> {
         }
         let id = self.cur;
         self.cur = self.arena.slot(id).next_sibling;
+        Some(id)
+    }
+}
+
+/// Canonical pre-order walk; see [`Arena::preorder`].
+pub(crate) struct Preorder<'a> {
+    arena: &'a Arena,
+    next: NodeId,
+}
+
+impl Iterator for Preorder<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let id = self.next;
+        if id.is_none() {
+            return None;
+        }
+        // Successor: the first child, else the next sibling of the
+        // nearest node on the way back up that has one.
+        let mut cur = id;
+        self.next = self.arena.slot(id).first_child;
+        while self.next.is_none() && cur != NodeId::ROOT {
+            let s = self.arena.slot(cur);
+            self.next = s.next_sibling;
+            cur = s.parent;
+        }
         Some(id)
     }
 }

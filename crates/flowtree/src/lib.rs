@@ -53,6 +53,7 @@
 
 mod arena;
 mod builder;
+mod index;
 mod ops;
 #[cfg(feature = "oracle")]
 pub mod oracle;

@@ -38,10 +38,12 @@ impl Flowtree {
         self.reserve_nodes(other.len());
         // `other`'s canonical pre-order lists every ancestor before its
         // descendants, so each inserted key finds its true deepest
-        // materialized ancestor without any re-sorting.
-        for node in other.flat_nodes() {
-            if !node.own.is_zero() {
-                self.insert_exact(&node.key, node.own);
+        // materialized ancestor without any re-sorting. Compatible configs
+        // mean `other`'s keys are already normalized and projected for
+        // this tree, and the walk reads `other`'s arena in place.
+        for (key, own) in other.preorder_entries() {
+            if !own.is_zero() {
+                self.insert_normalized(key, own);
             }
         }
         *self.records_mut() += other.records();

@@ -17,7 +17,7 @@ use megastream_flow::key::FlowKey;
 use megastream_flow::record::FlowRecord;
 use megastream_flow::score::Popularity;
 
-use crate::arena::{Arena, IdMap, NodeId, Slot};
+use crate::arena::{Arena, IdMap, KeyTag, NodeId, Slot};
 use crate::builder::FlowtreeConfig;
 
 /// A read-only view of one Flowtree node.
@@ -192,9 +192,9 @@ impl Flowtree {
             if norm != node.key {
                 return Err(FlatTreeError::Normalization);
             }
-            if tree.arena.lookup(&node.key).is_some() {
+            let Err(tag) = tree.arena.find(&node.key) else {
                 return Err(FlatTreeError::Duplicate);
-            }
+            };
             let parent_key = tree.arena.slot(parent_id).key;
             if !parent_key.contains(&node.key) || parent_key == node.key {
                 return Err(FlatTreeError::Containment);
@@ -206,7 +206,7 @@ impl Flowtree {
             // history-dependent shape — the frame carries that structure
             // explicitly and it is reproduced verbatim.
             let arena = Arc::make_mut(&mut tree.arena);
-            let id = arena.alloc(node.key);
+            let id = arena.alloc(node.key, tag);
             arena.slot_mut(id).own = node.own;
             arena.link_child(parent_id, id);
             tree.total += node.own;
@@ -292,13 +292,12 @@ impl Flowtree {
         std::mem::size_of::<Self>()
     }
 
-    /// The shareable part of [`Flowtree::deep_bytes`]: arena slot plus
-    /// key-index entry per live node, plus the fixed arena header. A pure
-    /// function of the node count.
+    /// The shareable part of [`Flowtree::deep_bytes`]: per live node, one
+    /// arena slot plus two 8-byte key-index entries (the index's load
+    /// bound is 1/2), plus the fixed arena header. A pure function of the
+    /// node count.
     pub fn arena_bytes(&self) -> usize {
-        let per_node = std::mem::size_of::<Slot>()
-            + std::mem::size_of::<FlowKey>()
-            + std::mem::size_of::<NodeId>();
+        let per_node = std::mem::size_of::<Slot>() + 2 * std::mem::size_of::<u64>();
         self.len() * per_node + std::mem::size_of::<Arena>()
     }
 
@@ -406,16 +405,23 @@ impl Flowtree {
             .config
             .schema
             .normalize(&key.project(self.config.features));
-        let id = if let Some(id) = self.arena.lookup(&key) {
-            id
-        } else {
-            let anchor = self
-                .config
-                .schema
-                .ancestors(&key)
-                .find_map(|anc| self.arena.lookup(&anc))
-                .unwrap_or(NodeId::ROOT);
-            self.attach_new(key, anchor)
+        self.insert_normalized(key, score);
+    }
+
+    /// [`Flowtree::insert_exact`] for a key that is already normalized and
+    /// projected under this tree's configuration.
+    pub(crate) fn insert_normalized(&mut self, key: FlowKey, score: Popularity) {
+        let id = match self.arena.find(&key) {
+            Ok(id) => id,
+            Err(tag) => {
+                let anchor = self
+                    .config
+                    .schema
+                    .ancestors(&key)
+                    .find_map(|anc| self.arena.lookup(&anc))
+                    .unwrap_or(NodeId::ROOT);
+                self.attach_new(key, tag, anchor)
+            }
         };
         self.arena_mut().slot_mut(id).own += score;
         self.total += score;
@@ -485,14 +491,15 @@ impl Flowtree {
                 id = parent;
             }
         }
+        arena.shrink_index();
     }
 
     /// Read-only views of all nodes in canonical pre-order (children in
     /// key order), with subtree scores computed.
     pub fn nodes(&self) -> Vec<NodeView> {
         let subtree = self.subtree_scores();
-        self.preorder_ids()
-            .into_iter()
+        self.arena
+            .preorder()
             .map(|id| {
                 let s = self.arena.slot(id);
                 NodeView {
@@ -511,7 +518,7 @@ impl Flowtree {
     pub fn flat_nodes(&self) -> Vec<FlatNode> {
         let mut pos: IdMap<u32> = IdMap::new(&self.arena, FLAT_NO_PARENT);
         let mut out = Vec::with_capacity(self.len());
-        for id in self.preorder_ids() {
+        for id in self.arena.preorder() {
             let s = self.arena.slot(id);
             let parent = if id == NodeId::ROOT {
                 FLAT_NO_PARENT
@@ -618,28 +625,19 @@ impl Flowtree {
         self.arena.lookup(&norm)
     }
 
-    /// All live ids in canonical pre-order (children visited in key order).
-    fn preorder_ids(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut stack = vec![NodeId::ROOT];
-        let mut kids: Vec<NodeId> = Vec::new();
-        while let Some(id) = stack.pop() {
-            out.push(id);
-            kids.clear();
-            kids.extend(self.arena.children(id));
-            for &c in kids.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+    /// `(key, own score)` of every live node in canonical pre-order
+    /// (children in key order), read from the arena in place.
+    pub(crate) fn preorder_entries(&self) -> impl Iterator<Item = (FlowKey, Popularity)> + '_ {
+        self.arena.preorder().map(|id| self.node_ref(id))
     }
 
     /// Returns the id of `key`'s node, materializing it (and any missing
     /// ancestors) if needed. `key` must already be normalized and projected.
     fn ensure_node(&mut self, key: &FlowKey) -> NodeId {
-        if let Some(id) = self.arena.lookup(key) {
-            return id;
-        }
+        let tag = match self.arena.find(key) {
+            Ok(id) => return id,
+            Err(tag) => tag,
+        };
         // Recurse up to the deepest materialized ancestor, then materialize
         // top-down on the way back so each new node hangs off the previous
         // one. The call stack holds the missing chain (at most the schema
@@ -649,10 +647,11 @@ impl Flowtree {
             Some(parent_key) => self.ensure_node(&parent_key),
             None => return NodeId::ROOT,
         };
-        self.attach_new(*key, parent)
+        self.attach_new(*key, tag, parent)
     }
 
-    /// Creates a node for `key` under `parent`, re-parenting any of
+    /// Creates a node for `key` (whose missed lookup returned `tag`) under
+    /// `parent`, re-parenting any of
     /// `parent`'s children that belong below the new node (keeps the
     /// invariant that each node's parent is its deepest materialized proper
     /// ancestor).
@@ -660,14 +659,14 @@ impl Flowtree {
     /// # Panics
     ///
     /// Panics if the allocation would exceed the node budget.
-    fn attach_new(&mut self, key: FlowKey, parent: NodeId) -> NodeId {
+    fn attach_new(&mut self, key: FlowKey, tag: KeyTag, parent: NodeId) -> NodeId {
         assert!(
             self.arena.len() < self.node_budget,
             "flowtree node budget exceeded ({} nodes)",
             self.node_budget
         );
         let arena = self.arena_mut();
-        let id = arena.alloc(key);
+        let id = arena.alloc(key, tag);
         // Steal children of `parent` that are more specific than `key`.
         let stolen: Vec<NodeId> = {
             let shared: &Arena = arena;
@@ -911,6 +910,53 @@ mod tests {
         }
         assert_eq!(t.len(), chain_keys.len());
         t.check_invariants();
+    }
+
+    #[test]
+    fn hasher_seed_never_reaches_results() {
+        // Each arena draws its own keyed hasher, so two trees fed the same
+        // operations index their keys under different tags, probe
+        // positions and table sizes. Nothing they report may differ.
+        let build = |salt: u32| {
+            let mut t = Flowtree::new(FlowtreeConfig::default().with_capacity(300));
+            let mut x = 0x2545_F491u32 ^ salt;
+            for i in 0..3_000u64 {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let r = FlowRecord::builder()
+                    .proto(6)
+                    .src((x & 0xFFFF_0F0F).into(), 4242)
+                    .dst(x.rotate_left(7).into(), 80)
+                    .packets(1 + i % 5)
+                    .build();
+                t.observe(&r);
+            }
+            t
+        };
+        let (mut a, mut b) = (build(0), build(0));
+        let probes: Vec<FlowKey> = a.flat_nodes().iter().take(16).map(|n| n.key).collect();
+        assert!(
+            probes
+                .iter()
+                .any(|k| a.arena.tag_of(k) != b.arena.tag_of(k)),
+            "the two arenas share a hasher seed"
+        );
+        assert_eq!(a.flat_nodes(), b.flat_nodes());
+        let donor = build(0xDEAD_BEEF);
+        a.merge(&donor);
+        b.merge(&donor);
+        assert_eq!(a.flat_nodes(), b.flat_nodes());
+        for target in [200, 40, 3] {
+            a.compress_to(target);
+            b.compress_to(target);
+            assert_eq!(
+                a.flat_nodes(),
+                b.flat_nodes(),
+                "after compress_to({target})"
+            );
+            assert_eq!(a.arena_slots(), b.arena_slots());
+            a.check_invariants();
+            b.check_invariants();
+        }
     }
 
     #[test]
